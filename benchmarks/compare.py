@@ -15,12 +15,13 @@ Usage::
     python benchmarks/compare.py fresh-serve.json \
         --baseline benchmarks/BENCH_serve.json
 
-The key tables below cover every baseline kind (diagram pipeline,
-executor, serving tier); :func:`compare` only gates keys the baseline
-actually carries, so one gate serves every benchmark JSON.  On top of the
-per-table checks, **every key the baseline carries must still exist in the
-fresh output** — a renamed or dropped metric fails the gate (with a
-per-metric diff table) instead of silently un-gating itself.
+The :data:`GATES` table declares the gate kind of every key across all
+baseline kinds (diagram pipeline, executor, serving tier); :func:`compare`
+only gates keys the baseline actually carries, so one gate serves every
+benchmark JSON.  On top of the per-kind checks, **every key the baseline
+carries must still exist in the fresh output** — a renamed or dropped
+metric fails the gate (with a per-metric diff table) instead of silently
+un-gating itself.
 
 Two classes of checks:
 
@@ -46,198 +47,184 @@ import json
 import sys
 from pathlib import Path
 
-#: Keys that are deterministic given the corpus + pipeline version.
-EXACT_KEYS = (
+#: Gate kind per key: ``exact`` (deterministic given the corpus + pipeline
+#: version), ``ratio`` (fresh >= baseline * (1 - tol)), ``flag`` (must stay
+#: truthy), ``info`` (machine-dependent: reported, never gated) or
+#: ``stages`` (per-stage hits/misses, exact).  Other keys are "not gated".
+GATES: dict[str, str] = {
     # diagram pipeline
-    "corpus_queries",
-    "distinct_generated",
-    "schema",
-    "formats",
-    "distinct_diagrams",
-    "cache_hit_rate",
+    "corpus_queries": "exact",
+    "distinct_generated": "exact",
+    "schema": "exact",
+    "formats": "exact",
+    "distinct_diagrams": "exact",
+    "cache_hit_rate": "exact",
+    "workers": "exact",
+    "stages": "stages",
+    "speedup": "ratio",
+    "persistent_speedup_vs_cold": "ratio",
+    "parallel_identical": "flag",
+    "cold_ms": "info",
+    "batched_ms": "info",
+    "parallel_ms": "info",
+    "persistent_populate_ms": "info",
+    "persistent_warm_ms": "info",
     # executor
-    "engine",
-    "workload_queries",
-    "database_rows",
-    "skew",
-    "result_rows",
-    "topk_engine",
-    "topk_queries",
-    # serving tier (seeded workload against a fresh in-process server)
-    "distinct_queries",
-    "concurrency",
-    "warm_repeat",
-    "burst_distinct",
-    "burst_duplicates",
-    "requests_cold",
-    "requests_warm",
-    "burst_requests",
-    "burst_unique_compiles",
-    "burst_unique_fraction",
-    # pool leg: corpus composition is seeded, and a chaos-free bench run
-    # must see a chaos-free pool (zero failures, zero restarts)
-    "pool_workers",
-    "pool_distinct",
-    "pool_requests",
-    "pool_failed_requests",
-    "pool_worker_restarts",
-    "pool_worker_crashes",
-    "failed_requests",
-)
-
-#: Ratio keys gated by the tolerance band (fresh >= baseline * (1 - tol)).
-RATIO_KEYS = (
-    "speedup",
-    "persistent_speedup_vs_cold",
-    "columnar_speedup_cold",
-    "columnar_speedup_warm",
-    "sql_vs_planned_cold",
-    "sql_vs_planned_warm",
-    "topk_vs_full_cold",
-    "topk_vs_full_warm",
-    "warm_speedup_p50",
-    "coalesce_collapse",
-    # N-worker pool vs single process on the stalled-compile corpus; the
-    # stall makes this portable across 1-to-N-core CI hosts (servebench).
-    "pool_vs_single_warm_throughput",
-)
-
-#: Keys that must be truthy whenever both sides carry them.
-FLAG_KEYS = ("parallel_identical", "results_identical", "topk_results_consistent")
-
-#: Machine-dependent measurements: reported, never gated.
-INFO_KEYS = (
-    "cold_ms",
-    "batched_ms",
-    "persistent_warm_ms",
-    "parallel_ms",
-    "rows_cold_ms",
-    "rows_warm_ms",
-    "columnar_cold_ms",
-    "columnar_warm_ms",
-    "sql_cold_ms",
-    "sql_warm_ms",
-    "topk_cold_ms",
-    "topk_warm_ms",
-    "topk_full_cold_ms",
-    "topk_full_warm_ms",
+    "engine": "exact",
+    "workload_queries": "exact",
+    "database_rows": "exact",
+    "skew": "exact",
+    "result_rows": "exact",
+    "topk_engine": "exact",
+    "topk_queries": "exact",
+    "columnar_speedup_cold": "ratio",
+    "columnar_speedup_warm": "ratio",
+    "sql_vs_planned_cold": "ratio",
+    "sql_vs_planned_warm": "ratio",
+    "topk_vs_full_cold": "ratio",
+    "topk_vs_full_warm": "ratio",
+    "results_identical": "flag",
+    "topk_results_consistent": "flag",
+    "rows_cold_ms": "info",
+    "rows_warm_ms": "info",
+    "columnar_cold_ms": "info",
+    "columnar_warm_ms": "info",
+    "sql_cold_ms": "info",
+    "sql_warm_ms": "info",
+    "topk_cold_ms": "info",
+    "topk_warm_ms": "info",
+    "topk_full_cold_ms": "info",
+    "topk_full_warm_ms": "info",
     # environment provenance: self-describing artifacts, never comparable
     # across machines
-    "python_version",
-    "sqlite_version",
-    "numpy_version",
-    "cold_p50_ms",
-    "cold_p95_ms",
-    "cold_p99_ms",
-    "cold_rps",
-    "warm_p50_ms",
-    "warm_p95_ms",
-    "warm_p99_ms",
-    "warm_rps",
-    "burst_p50_ms",
-    "burst_p95_ms",
-    "burst_p99_ms",
-    "burst_rps",
-    "retried_requests",
-    # pool-leg timings: per-machine, the gated number is the ratio above
-    "pool_single_rps",
-    "pool_rps",
-    "pool_single_p50_ms",
-    "pool_p50_ms",
-    "pool_p99_ms",
+    "python_version": "info",
+    "sqlite_version": "info",
+    "numpy_version": "info",
+    # serving tier (seeded workload against a fresh in-process server)
+    "distinct_queries": "exact",
+    "concurrency": "exact",
+    "warm_repeat": "exact",
+    "burst_distinct": "exact",
+    "burst_duplicates": "exact",
+    "requests_cold": "exact",
+    "requests_warm": "exact",
+    "burst_requests": "exact",
+    "burst_unique_compiles": "exact",
+    "burst_unique_fraction": "exact",
+    "failed_requests": "exact",
+    "warm_speedup_p50": "ratio",
+    "coalesce_collapse": "ratio",
+    "cold_p50_ms": "info",
+    "cold_p95_ms": "info",
+    "cold_p99_ms": "info",
+    "cold_rps": "info",
+    "warm_p50_ms": "info",
+    "warm_p95_ms": "info",
+    "warm_p99_ms": "info",
+    "warm_rps": "info",
+    "burst_p50_ms": "info",
+    "burst_p95_ms": "info",
+    "burst_p99_ms": "info",
+    "burst_rps": "info",
+    "retried_requests": "info",
     # how many requests *observably* awaited an in-flight compile is a
     # race between workers — the deterministic gate is burst_unique_compiles
-    "coalesced_requests",
+    "coalesced_requests": "info",
+    # pool leg: corpus composition is seeded, and a chaos-free bench run
+    # must see a chaos-free pool (zero failures, zero restarts)
+    "pool_workers": "exact",
+    "pool_distinct": "exact",
+    "pool_requests": "exact",
+    "pool_failed_requests": "exact",
+    "pool_worker_restarts": "exact",
+    "pool_worker_crashes": "exact",
+    # N-worker pool vs single process on the stalled-compile corpus; the
+    # stall makes this portable across 1-to-N-core CI hosts (servebench).
+    "pool_vs_single_warm_throughput": "ratio",
+    # pool-leg timings: per-machine, the gated number is the ratio above
+    "pool_single_rps": "info",
+    "pool_rps": "info",
+    "pool_single_p50_ms": "info",
+    "pool_p50_ms": "info",
+    "pool_p99_ms": "info",
     # disk-cache health: eviction/degradation counts depend on what an
     # earlier run (or a hostile filesystem) left in the store directory —
     # report them so a corrupt store is visible, never gate on them
-    "disk_evictions",
-    "disk_corrupt_evictions",
-    "disk_stale_evictions",
-    "disk_degraded",
-)
+    "disk_evictions": "info",
+    "disk_corrupt_evictions": "info",
+    "disk_stale_evictions": "info",
+    "disk_degraded": "info",
+}
 
 
 def compare(
     fresh: dict, baseline: dict, tolerance: float
 ) -> tuple[list[str], list[str]]:
-    """Return (failures, notes) from diffing ``fresh`` against ``baseline``."""
+    """Return (failures, notes) from diffing ``fresh`` against ``baseline``.
+
+    A fresh value of the wrong type is a failure, never a traceback.
+    """
     failures: list[str] = []
     notes: list[str] = []
-
-    for key in EXACT_KEYS:
-        if key not in baseline:
-            continue
-        if key not in fresh:
-            failures.append(f"{key}: missing from fresh output")
-        elif fresh[key] != baseline[key]:
-            failures.append(
-                f"{key}: expected {baseline[key]!r}, measured {fresh[key]!r}"
-            )
-
-    for stage, counters in baseline.get("stages", {}).items():
-        fresh_counters = fresh.get("stages", {}).get(stage)
-        if fresh_counters is None:
-            failures.append(f"stages.{stage}: missing from fresh output")
-            continue
-        for counter in ("hits", "misses"):
-            if fresh_counters.get(counter) != counters.get(counter):
-                failures.append(
-                    f"stages.{stage}.{counter}: expected "
-                    f"{counters.get(counter)}, measured {fresh_counters.get(counter)}"
-                )
-
-    for key in RATIO_KEYS:
-        if key not in baseline:
-            continue
-        floor = baseline[key] * (1.0 - tolerance)
+    for key, expected in baseline.items():
+        kind = GATES.get(key)
         measured = fresh.get(key)
-        if measured is None:
-            failures.append(f"{key}: missing from fresh output")
-        elif measured < floor:
-            failures.append(
-                f"{key}: measured {measured:.2f}x, below tolerance floor "
-                f"{floor:.2f}x (baseline {baseline[key]:.2f}x - {tolerance:.0%})"
-            )
-        else:
-            notes.append(
-                f"{key}: {measured:.2f}x (baseline {baseline[key]:.2f}x, "
-                f"floor {floor:.2f}x)"
-            )
-
-    for key in FLAG_KEYS:
-        if key in baseline and not fresh.get(key, False):
-            failures.append(f"{key}: baseline requires it, fresh output says no")
-
-    for key in INFO_KEYS:
-        if key in baseline and key in fresh:
-            notes.append(
-                f"{key}: {fresh[key]} (baseline machine: {baseline[key]}; "
-                "absolute times are informational only)"
-            )
-
-    # Completeness sweep: *every* baseline key must still exist in the
-    # fresh output.  Without this, renaming a metric silently un-gates it —
-    # the old checks skip keys the baseline carries but no table names, and
-    # a stale baseline key would pass forever.
-    already_reported = set(EXACT_KEYS) | set(RATIO_KEYS) | set(FLAG_KEYS)
-    already_reported.add("stages")
-    covered = already_reported | set(INFO_KEYS)
-    for key in baseline:
-        if key not in fresh:
-            if key not in already_reported:
+        if kind == "stages":
+            stages = fresh.get(key, {})
+            if not isinstance(stages, dict):
+                failures.append(f"{key}: expected an object, measured {stages!r}")
+                continue
+            for stage, counters in expected.items():
+                found = stages.get(stage)
+                if not isinstance(found, dict):
+                    failures.append(
+                        f"{key}.{stage}: missing from fresh output" if found is None
+                        else f"{key}.{stage}: expected an object, measured {found!r}"
+                    )
+                    continue
+                failures += [
+                    f"{key}.{stage}.{name}: expected {counters.get(name)}, "
+                    f"measured {found.get(name)}"
+                    for name in ("hits", "misses")
+                    if found.get(name) != counters.get(name)
+                ]
+        elif kind == "flag":
+            if not measured:
+                failures.append(f"{key}: baseline requires it, fresh output says no")
+        elif kind == "ratio":
+            floor = expected * (1.0 - tolerance)
+            if measured is None:
+                failures.append(f"{key}: missing from fresh output")
+            elif not isinstance(measured, (int, float)):
+                failures.append(f"{key}: expected a number, measured {measured!r}")
+            elif measured < floor:
                 failures.append(
-                    f"{key}: present in baseline but missing from fresh "
-                    "output (renamed or dropped metric?)"
+                    f"{key}: measured {measured:.2f}x, below tolerance floor "
+                    f"{floor:.2f}x (baseline {expected:.2f}x - {tolerance:.0%})"
                 )
-        elif key not in covered:
-            if isinstance(baseline[key], dict):
-                notes.append(f"{key}: present (nested, not gated)")
             else:
                 notes.append(
-                    f"{key}: {fresh[key]!r} (baseline {baseline[key]!r}; "
-                    "not gated)"
+                    f"{key}: {measured:.2f}x (baseline {expected:.2f}x, floor {floor:.2f}x)"
                 )
+        elif kind == "exact":
+            if key not in fresh:
+                failures.append(f"{key}: missing from fresh output")
+            elif measured != expected:
+                failures.append(f"{key}: expected {expected!r}, measured {measured!r}")
+        elif key not in fresh:
+            failures.append(
+                f"{key}: present in baseline but missing from fresh "
+                "output (renamed or dropped metric?)"
+            )
+        elif kind == "info":
+            notes.append(
+                f"{key}: {measured} (baseline machine: {expected}; "
+                "absolute times are informational only)"
+            )
+        elif isinstance(expected, dict):
+            notes.append(f"{key}: present (nested, not gated)")
+        else:
+            notes.append(f"{key}: {measured!r} (baseline {expected!r}; not gated)")
     return failures, notes
 
 
@@ -284,6 +271,10 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    for path, document in ((args.fresh, fresh), (args.baseline, baseline)):
+        if not isinstance(document, dict):
+            print(f"error: {path}: not a JSON object", file=sys.stderr)
+            return 2
 
     failures, notes = compare(fresh, baseline, args.tolerance)
     for note in notes:

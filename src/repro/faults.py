@@ -61,6 +61,8 @@ from pathlib import Path
 from random import Random
 from typing import Any, Iterator
 
+from .counters import Counters
+
 __all__ = [
     "FaultPlan",
     "FaultRule",
@@ -147,14 +149,11 @@ class FaultRule:
 
 
 @dataclass
-class PointStats:
+class PointStats(Counters):
     """Trigger counters of one fault point under the active plan."""
 
     calls: int = 0
     fires: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {"calls": self.calls, "fires": self.fires}
 
 
 class _RuleState:

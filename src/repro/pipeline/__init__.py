@@ -16,7 +16,6 @@ the stage graph and cache-key definitions.
 from .batch import DiagramBatchCompiler, EquivalenceClass, compile_corpus
 from .compiler import RENDERERS, CompiledDiagram, DiagramCompiler, compile_sql
 from .diskcache import (
-    DEFAULT_DISK_STAGES,
     PIPELINE_CACHE_VERSION,
     DiskCache,
     DiskCacheStats,
@@ -33,7 +32,6 @@ from .stages import STAGE_NAMES, PipelineStats, StageCache, StageCounter
 
 __all__ = [
     "CompiledDiagram",
-    "DEFAULT_DISK_STAGES",
     "DiagramBatchCompiler",
     "DiagramCompiler",
     "DiskCache",

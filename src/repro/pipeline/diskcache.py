@@ -52,6 +52,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable
 
+from ..counters import Counters
 from ..faults import fault_point
 
 #: Bump when cached products or key derivations change meaning.
@@ -141,7 +142,7 @@ def _update_digest(digest, key: Any) -> None:
 
 
 @dataclass
-class DiskCacheStats:
+class DiskCacheStats(Counters):
     """Counters for one :class:`DiskCache` instance."""
 
     hits: int = 0
@@ -153,23 +154,12 @@ class DiskCacheStats:
     #: Entries that failed to unpickle, carried foreign content, or raised
     #: IO errors mid-read — the never-trust branch.
     corrupt_evictions: int = 0
-    #: Whole-store wipes caused by a version-stamp mismatch.
+    #: Evictions caused by a version-stamp mismatch: whole-store wipes at
+    #: open, plus single entries whose embedded stamp disagrees on read.
     stale_evictions: int = 0
     write_errors: int = 0
     #: Times the store flipped into memory-only degraded mode.
     disk_degraded: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "evictions": self.evictions,
-            "corrupt_evictions": self.corrupt_evictions,
-            "stale_evictions": self.stale_evictions,
-            "write_errors": self.write_errors,
-            "disk_degraded": self.disk_degraded,
-        }
 
 
 @dataclass
@@ -182,8 +172,8 @@ class DiskCache:
           VERSION            # version stamp; mismatch wipes the store
           <stage>/<digest[:2]>/<digest>.pkl
 
-    ``stages`` restricts which pipeline stages are persisted (all known
-    stages by default — see :data:`DEFAULT_DISK_STAGES`).
+    ``stages`` restricts which pipeline stages are persisted (``None``, the
+    default, persists every stage).
     """
 
     root: Path
@@ -394,20 +384,3 @@ def _remove_tree(root: Path) -> None:
     except OSError:
         pass
 
-
-#: Stages persisted by default.  ``artifact`` alone covers whole-compile
-#: warm starts; the individual stages additionally serve compilers with
-#: different requested formats or partially overlapping corpora.
-DEFAULT_DISK_STAGES = frozenset(
-    {
-        "artifact",
-        "lex",
-        "parse",
-        "logic",
-        "simplify",
-        "fingerprint",
-        "diagram",
-        "layout",
-        "render",
-    }
-)

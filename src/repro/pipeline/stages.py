@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable
 
+from ..counters import Counters
 from .diskcache import DiskCache, stable_key_digest
 
 #: Stage names, in pipeline order (render appears once per output format).
@@ -43,7 +44,7 @@ STAGE_NAMES: tuple[str, ...] = (
 
 
 @dataclass
-class StageCounter:
+class StageCounter(Counters):
     """Hit/miss counters of one stage cache.
 
     ``disk_hits`` counts the subset of ``hits`` that were served from the
@@ -65,8 +66,12 @@ class StageCounter:
 
 
 @dataclass
-class PipelineStats:
-    """Cache effectiveness across all stages of one compiler."""
+class PipelineStats(Counters):
+    """Cache effectiveness across all stages of one compiler.
+
+    ``merge`` folds in a parallel worker's counters; a stage or disk key
+    present on only one side is kept as is.
+    """
 
     queries: int = 0
     counters: dict[str, StageCounter] = field(
@@ -106,17 +111,6 @@ class PipelineStats:
     @property
     def total_disk_hits(self) -> int:
         return sum(counter.disk_hits for counter in self.counters.values())
-
-    def merge(self, other: "PipelineStats") -> None:
-        """Fold ``other``'s counters into this one (parallel-worker merge)."""
-        self.queries += other.queries
-        for name, counter in other.counters.items():
-            mine = self.counters.setdefault(name, StageCounter())
-            mine.hits += counter.hits
-            mine.misses += counter.misses
-            mine.disk_hits += counter.disk_hits
-        for key, value in other.disk.items():
-            self.disk[key] = self.disk.get(key, 0) + value
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-friendly summary (used by ``repro bench-diagram --json``)."""

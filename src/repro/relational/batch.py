@@ -39,27 +39,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..sql.ast import SelectQuery
 from ..sql.parser import parse
 from .database import Database
-from .executor import ExecutionContext, ExecutionMode, Executor, ResultSet
+from .executor import ExecutionContext, ExecutionMode, ExecutionStats, Executor, ResultSet
 
 #: Stage label under which query results live in a shared disk store.
 _RESULT_STAGE = "exec-result"
 
 
-@dataclass(frozen=True)
-class BatchStats:
-    """Cache effectiveness of one batch run."""
+@dataclass
+class BatchStats(ExecutionStats):
+    """Cache effectiveness of one batch run: a copy of the shared context's
+    counters plus the batch's own."""
 
-    queries: int
-    plan_hits: int
-    plan_misses: int
-    subquery_hits: int
-    subquery_misses: int
-    scan_hits: int
-    scan_misses: int
+    queries: int = 0
     result_disk_hits: int = 0
-    sql_store_builds: int = 0
-    sql_lower_hits: int = 0
-    sql_lower_misses: int = 0
 
     def describe(self) -> str:
         text = (
@@ -183,20 +175,11 @@ class BatchExecutor:
         return self._executor.explain(query)
 
     def stats(self) -> BatchStats:
-        """Cache counters accumulated so far."""
-        counters = self._context.stats
+        """Cache counters accumulated so far (a copy: later queries leave it be)."""
         return BatchStats(
+            **self._context.stats.as_dict(),
             queries=self._queries_run,
-            plan_hits=counters.plan_hits,
-            plan_misses=counters.plan_misses,
-            subquery_hits=counters.subquery_hits,
-            subquery_misses=counters.subquery_misses,
-            scan_hits=counters.scan_hits,
-            scan_misses=counters.scan_misses,
             result_disk_hits=self._result_disk_hits,
-            sql_store_builds=counters.sql_store_builds,
-            sql_lower_hits=counters.sql_lower_hits,
-            sql_lower_misses=counters.sql_lower_misses,
         )
 
 

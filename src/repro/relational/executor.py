@@ -61,6 +61,7 @@ from ..sql.ast import (
     SelectQuery,
     Star,
 )
+from ..counters import Counters
 from ..faults import fault_point
 from .aggregates import apply_aggregate
 from .backends import ExecutionBackend, backend_for, register_backend, with_fallback
@@ -153,7 +154,7 @@ class ResultSet:
 
 
 @dataclass
-class ExecutionStats:
+class ExecutionStats(Counters):
     """Counters for the context's caches (useful for batch diagnostics)."""
 
     plan_hits: int = 0
@@ -172,7 +173,7 @@ class ExecutionStats:
     # million-row join shows topk_input_rows in the millions while
     # topk_held_rows stays at 10.
     topk_input_rows: int = 0
-    topk_held_rows: int = 0
+    topk_held_rows: int = field(default=0, metadata={"merge": max})
     # Graceful degradation (only moves under a FallbackBackend): queries
     # re-executed on the fallback engine, executions that skipped a
     # primary outright because its breaker was open, and the last
@@ -180,23 +181,6 @@ class ExecutionStats:
     fallbacks: int = 0
     breaker_skips: int = 0
     breaker_state: dict[str, str] = field(default_factory=dict)
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "plan_hits": self.plan_hits,
-            "plan_misses": self.plan_misses,
-            "subquery_hits": self.subquery_hits,
-            "subquery_misses": self.subquery_misses,
-            "scan_hits": self.scan_hits,
-            "scan_misses": self.scan_misses,
-            "sql_store_builds": self.sql_store_builds,
-            "sql_lower_hits": self.sql_lower_hits,
-            "sql_lower_misses": self.sql_lower_misses,
-            "topk_input_rows": self.topk_input_rows,
-            "topk_held_rows": self.topk_held_rows,
-            "fallbacks": self.fallbacks,
-            "breaker_skips": self.breaker_skips,
-        }
 
 
 class ExecutionContext:

@@ -14,21 +14,16 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Hashable
 
+from ..counters import Counters
+
 
 @dataclass
-class LRUStats:
+class LRUStats(Counters):
     """Counters for one :class:`LRUCache`."""
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
 
 
 class LRUCache:

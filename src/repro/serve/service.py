@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..catalog.schema import Schema
+from ..counters import Counters
 from ..faults import InjectedCrash, fault_point
 from ..pipeline import RENDERERS, DiagramCompiler, DiskCache
 from ..relational.backends import breaker_states, is_recoverable
@@ -113,7 +114,7 @@ class ServedResponse:
 
 
 @dataclass
-class ServiceStats:
+class ServiceStats(Counters):
     """Structured counters surfaced verbatim on ``/stats``."""
 
     requests: dict[str, int] = field(default_factory=dict)
@@ -339,17 +340,7 @@ class CompileService(RequestFrontEnd):
             "draining": self._draining,
             "in_flight": len(self._inflight),
             "pending": self._pending,
-            "requests": dict(self.stats.requests),
-            "compiles": self.stats.compiles,
-            "lru_hits": self.stats.lru_hits,
-            "coalesced": self.stats.coalesced,
-            "shed": self.stats.shed,
-            "timeouts": self.stats.timeouts,
-            "bad_requests": self.stats.bad_requests,
-            "internal_errors": self.stats.internal_errors,
-            "stage_cache_clears": self.stats.stage_cache_clears,
-            "compile_retries": self.stats.compile_retries,
-            "executor_restarts": self.stats.executor_restarts,
+            **self.stats.as_dict(),
             "lru": {"entries": len(self._lru), **self._lru.stats.as_dict()},
             "pipeline": compiler.stats().as_dict(),
         }

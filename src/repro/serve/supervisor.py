@@ -82,6 +82,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+from ..counters import Counters
 from ..faults import current_plan, fault_point, InjectedFault
 from ..pipeline import RENDERERS
 from .pool import (
@@ -147,7 +148,7 @@ class PoolConfig:
 
 
 @dataclass
-class PoolStats:
+class PoolStats(Counters):
     """Supervisor-side counters (per-worker compile counters live in the
     workers and are aggregated by ``stats_payload``)."""
 
@@ -161,21 +162,9 @@ class PoolStats:
     dispatch_faults: int = 0
     reloads: int = 0
     #: Lowest ready-worker count observed during the last reload (-1: never).
-    reload_min_ready: int = -1
-
-    def as_dict(self) -> dict:
-        return {
-            "dispatched": self.dispatched,
-            "worker_crashes": self.worker_crashes,
-            "worker_restarts": self.worker_restarts,
-            "failovers": self.failovers,
-            "heartbeat_timeouts": self.heartbeat_timeouts,
-            "deadline_kills": self.deadline_kills,
-            "spawn_failures": self.spawn_failures,
-            "dispatch_faults": self.dispatch_faults,
-            "reloads": self.reloads,
-            "reload_min_ready": self.reload_min_ready,
-        }
+    reload_min_ready: int = field(
+        default=-1, metadata={"merge": lambda mine, theirs: mine if theirs < 0 else theirs}
+    )
 
 
 class _Pending:

@@ -9,10 +9,13 @@ out of the gated set.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
-from benchmarks.compare import EXACT_KEYS, RATIO_KEYS, compare, diff_table, main
+from benchmarks.compare import GATES, compare, diff_table, main
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
 
 BASELINE = {
     "schema": "sailors",
@@ -116,19 +119,17 @@ def test_diff_table_marks_missing_keys():
 
 def test_serve_metrics_are_wired_into_the_gate_tables():
     for key in ("burst_unique_compiles", "burst_unique_fraction"):
-        assert key in EXACT_KEYS
+        assert GATES[key] == "exact"
     for key in ("warm_speedup_p50", "coalesce_collapse"):
-        assert key in RATIO_KEYS
+        assert GATES[key] == "ratio"
 
 
 def test_topk_metrics_are_wired_into_the_gate_tables():
-    from benchmarks.compare import FLAG_KEYS, INFO_KEYS
-
     for key in ("topk_vs_full_cold", "topk_vs_full_warm"):
-        assert key in RATIO_KEYS
+        assert GATES[key] == "ratio"
     for key in ("topk_engine", "topk_queries"):
-        assert key in EXACT_KEYS
-    assert "topk_results_consistent" in FLAG_KEYS
+        assert GATES[key] == "exact"
+    assert GATES["topk_results_consistent"] == "flag"
     for key in (
         "topk_cold_ms",
         "topk_warm_ms",
@@ -138,7 +139,62 @@ def test_topk_metrics_are_wired_into_the_gate_tables():
         "sqlite_version",
         "numpy_version",
     ):
-        assert key in INFO_KEYS
+        assert GATES[key] == "info"
+
+
+@pytest.mark.parametrize(
+    "baseline", sorted(BENCH_DIR.glob("BENCH_*.json")), ids=lambda path: path.name
+)
+def test_every_checked_in_baseline_scalar_is_declared_in_gates(baseline):
+    # A scalar no gate kind declares is only reported "not gated": drift in
+    # it (say, a bench run with a different --workers) passes silently.
+    payload = json.loads(baseline.read_text())
+    undeclared = [
+        key for key, value in payload.items()
+        if not isinstance(value, dict) and key not in GATES
+    ]
+    assert undeclared == []
+
+
+def test_diagram_run_shape_keys_are_gated():
+    assert GATES["workers"] == "exact"
+    assert GATES["persistent_populate_ms"] == "info"
+    failures, _ = compare({"workers": 4}, {"workers": 2}, 0.4)
+    assert failures == ["workers: expected 2, measured 4"]
+
+
+# --------------------------------------------------------------------- #
+# malformed fresh output: a FAIL line or exit 2, never a traceback
+# --------------------------------------------------------------------- #
+
+
+def _main_on(tmp_path, fresh: object) -> int:
+    baseline_path = tmp_path / "baseline.json"
+    baseline_path.write_text(json.dumps(BASELINE))
+    fresh_path = tmp_path / "fresh.json"
+    fresh_path.write_text(json.dumps(fresh))
+    return main([str(fresh_path), "--baseline", str(baseline_path)])
+
+
+def test_non_numeric_ratio_is_a_failure_line(tmp_path, capsys):
+    assert _main_on(tmp_path, _fresh(warm_speedup_p50="fast")) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  warm_speedup_p50: expected a number, measured 'fast'" in out
+
+
+def test_null_stages_is_a_failure_line(tmp_path, capsys):
+    assert _main_on(tmp_path, _fresh(stages=None)) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  stages: expected an object, measured None" in out
+    failures, _ = compare(_fresh(stages={"lex": 5}), BASELINE, 0.4)
+    assert failures == ["stages.lex: expected an object, measured 5"]
+
+
+def test_non_object_document_is_a_usage_error(tmp_path, capsys):
+    assert _main_on(tmp_path, [1, 2]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "not a JSON object" in captured.err
 
 
 def test_main_exit_codes_and_diff_table_output(tmp_path, capsys):

@@ -79,6 +79,21 @@ class TestBatchExecutor:
         )
         assert batch.stats().subquery_misses == stats.subquery_misses
 
+    def test_stats_is_a_copy_that_later_queries_leave_alone(self, db):
+        # The cache tests above compare an earlier stats() against a later
+        # one; that only means something if stats() is not the live object.
+        sql = "SELECT S.sname FROM Sailor S WHERE S.sid IN (SELECT R.sid FROM Reserves R)"
+        batch = BatchExecutor(db)
+        batch.execute(sql)
+        stats = batch.stats()
+        before = stats.as_dict()
+        batch.execute("SELECT S.age FROM Sailor S WHERE S.rating > 7")
+        batch.execute(sql)
+        assert stats.as_dict() == before
+        assert stats.breaker_state is not batch.context.stats.breaker_state
+        later = batch.stats()
+        assert (later.queries, later.plan_misses) == (3, stats.plan_misses + 1)
+
     def test_inserts_between_queries_invalidate_caches(self, db):
         # The subquery/scan caches must not serve stale results after the
         # database grows (versioned by total row count).
