@@ -47,9 +47,9 @@ class LogicTreeNode(FrozenNode):
     """One query block of the Logic Tree.
 
     Like the AST nodes, Logic Tree nodes are slotted with a lazily cached
-    hash: the simplify and fingerprint stage caches key directly on (trees
-    of) these nodes, and traversal helpers are stack-based rather than
-    recursive — the cold compile path walks every tree several times.
+    hash, so a tree used as a dictionary key hashes each node once, and
+    traversal helpers are stack-based rather than recursive — the cold
+    compile path walks every tree several times.
     """
 
     tables: tuple[TableRef, ...]

@@ -1,8 +1,8 @@
 """Staged diagram-compilation pipeline with per-stage caches and fingerprints.
 
-The pipeline compiles SQL text to rendered diagrams through explicit stages
+The pipeline compiles SQL text to rendered diagrams through cached stages
 
-    lex → parse → logic → simplify → fingerprint → diagram → layout → render
+    front (lex → parse → logic → simplify → fingerprint) → diagram → layout → render
 
 each backed by a content-addressed cache (:mod:`repro.pipeline.stages`).  The
 canonical fingerprint (:mod:`repro.pipeline.fingerprint`) hashes the

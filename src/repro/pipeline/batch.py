@@ -72,7 +72,7 @@ class DiagramBatchCompiler:
     >>> batch = DiagramBatchCompiler()
     >>> artifacts = batch.run(corpus, formats=("svg",))   # doctest: +SKIP
     >>> batch.stats().describe()                          # doctest: +SKIP
-    '1200 queries: lex 1000/1200 cached, ..., overall hit rate 83%'
+    '1200 queries, artifact 1000/1200 cached, ..., overall hit rate 83%'
     """
 
     def __init__(
@@ -88,18 +88,14 @@ class DiagramBatchCompiler:
         self._layout_config = layout_config
         self._cache_enabled = cache
         # Workers must reopen the *same* store: root alone is not enough —
-        # a caller-supplied version stamp or stage restriction has to ship
-        # too, or the first worker would wipe a custom-version store.
-        self._disk_config: tuple[str, str, frozenset[str] | None] | None
+        # a caller-supplied version stamp has to ship too, or the first
+        # worker would wipe a custom-version store.
+        self._disk_config: tuple[str, str] | None
         if isinstance(disk_cache, DiskCache):
-            self._disk_config = (
-                str(disk_cache.root),
-                disk_cache.version,
-                disk_cache.stages,
-            )
+            self._disk_config = (str(disk_cache.root), disk_cache.version)
         elif disk_cache is not None:
             opened = DiskCache(Path(disk_cache))
-            self._disk_config = (str(opened.root), opened.version, opened.stages)
+            self._disk_config = (str(opened.root), opened.version)
             disk_cache = opened
         else:
             self._disk_config = None
@@ -310,8 +306,8 @@ def _compile_chunk(
     chunk, schema, simplify, layout_config, cache, disk_config, formats = payload
     disk_cache = None
     if disk_config is not None:
-        root, version, stages = disk_config
-        disk_cache = DiskCache(Path(root), version=version, stages=stages)
+        root, version = disk_config
+        disk_cache = DiskCache(Path(root), version=version)
     compiler = DiagramCompiler(
         schema=schema,
         simplify=simplify,

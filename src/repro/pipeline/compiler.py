@@ -5,19 +5,24 @@ simplify → build → layout → render`` call chains that used to live in
 ``cli.py`` and the one-shot helpers.  Every stage goes through one
 content-addressed :class:`~repro.pipeline.stages.StageCache`:
 
-========  =======================================================  =========
-stage     cache key                                                product
-========  =======================================================  =========
-artifact  (stripped SQL text | frozen AST, formats)                everything
-lex       stripped SQL text                                        tokens
-parse     token stream (types + values, positions ignored)         AST
-logic     frozen AST                                               Logic Tree
-simplify  frozen Logic Tree                                        Logic Tree
-fingerprint  frozen (simplified) Logic Tree                        hex digest
-diagram   (fingerprint, canonical-role → alias map)                Diagram
-layout    (fingerprint, canonical-role → alias map)                Layout
-render    (fingerprint, canonical-role → alias map, format)        text
-========  =======================================================  =========
+========  ==================================================  ==============================
+stage     cache key                                           product
+========  ==================================================  ==============================
+artifact  (stripped SQL text | frozen AST, formats)           everything
+front     stripped SQL text | frozen AST                      AST, Logic Trees, fingerprint,
+                                                              canonical roles
+diagram   (fingerprint, canonical-role → alias map)           Diagram
+layout    (fingerprint, canonical-role → alias map)           Layout
+render    (fingerprint, canonical-role → alias map, format)   text
+========  ==================================================  ==============================
+
+Only two identities dedupe anything: the verbatim input (``artifact``, and
+``front`` for repeats that ask for other formats or come through
+:meth:`DiagramCompiler.canonical_key` first) and the canonical
+``(fingerprint, roles)`` pair (the back half, for equivalent spellings).
+The front half therefore runs lex → parse → logic → simplify → fingerprint
+as one plain call chain inside the ``front`` entry; its intermediate
+products get no cache entries of their own.
 
 Caches are strictly per-compiler, and a compiler's schema, simplify flag
 and layout config are fixed at construction — so they never appear in the
@@ -49,7 +54,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Hashable, Mapping
+from typing import Callable, Mapping
 
 from ..catalog.schema import Schema
 from ..diagram.build import build_diagram
@@ -67,9 +72,6 @@ from ..sql.parser import Parser
 from .diskcache import DiskCache
 from .fingerprint import fingerprint_and_roles
 from .stages import PipelineStats, StageCache
-
-def _parse_stream(stream) -> SelectQuery:
-    return Parser(stream).parse_query()
 
 
 #: Output formats the render stage knows, mapped to layout-sharing renderers.
@@ -220,20 +222,19 @@ class DiagramCompiler:
     def _front_half(
         self, query: SelectQuery | str
     ) -> tuple[SelectQuery, LogicTree, LogicTree, str, tuple]:
-        """lex → parse → logic → simplify → fingerprint (no diagram work)."""
-        ast = self._front_end(query)
-        cache = self._cache
-        tree = cache.get_or_compute("logic", ast, sql_to_logic_tree, ast)
-        if self._simplify:
-            simplified = cache.get_or_compute(
-                "simplify", tree, simplify_logic_tree, tree
-            )
-        else:
-            simplified = tree
-        fingerprint, roles = cache.get_or_compute(
-            "fingerprint", simplified, fingerprint_and_roles, simplified
-        )
-        return ast, tree, simplified, fingerprint, roles
+        """lex → parse → logic → simplify → fingerprint, cached per input."""
+        key = query if isinstance(query, SelectQuery) else query.strip()
+        return self._cache.get_or_compute("front", key, self._front_products, key)
+
+    def _front_products(
+        self, query: SelectQuery | str
+    ) -> tuple[SelectQuery, LogicTree, LogicTree, str, tuple]:
+        if isinstance(query, str):
+            query = Parser(scan(query)).parse_query()
+        tree = sql_to_logic_tree(query)
+        simplified = simplify_logic_tree(tree) if self._simplify else tree
+        fingerprint, roles = fingerprint_and_roles(simplified)
+        return query, tree, simplified, fingerprint, roles
 
     def _compile_stages(
         self, query: SelectQuery | str, formats: tuple[str, ...]
@@ -315,25 +316,6 @@ class DiagramCompiler:
             return False
         self._cache.clear()
         return True
-
-    # ------------------------------------------------------------------ #
-    # stages
-    # ------------------------------------------------------------------ #
-
-    def _front_end(self, query: SelectQuery | str) -> SelectQuery:
-        """lex + parse (skipped entirely for already-parsed input)."""
-        if isinstance(query, SelectQuery):
-            return query
-        text = query.strip()
-        stream = self._cache.get_or_compute("lex", text, scan, text)
-        if not self._cache.enabled:
-            # A disabled cache ignores keys, so don't build the (type, value)
-            # tuple the parse stage would key on — the cold path parses
-            # every query anyway.
-            token_key: Hashable = None
-        else:
-            token_key = tuple(zip(stream.types, stream.values))
-        return self._cache.get_or_compute("parse", token_key, _parse_stream, stream)
 
 
 def compile_sql(

@@ -58,7 +58,9 @@ from ..faults import fault_point
 #: Bump when cached products or key derivations change meaning.
 #: 2: ResultSet became a slotted dataclass with a __reduce__ (PR 5) —
 #: stores holding dict-state ResultSet pickles must be invalidated whole.
-PIPELINE_CACHE_VERSION = 2
+#: 3: the lex/parse/logic/simplify/fingerprint stages became one ``front``
+#: entry — the wipe on open removes their orphaned directories.
+PIPELINE_CACHE_VERSION = 3
 
 #: First element of every pickled entry (guards against foreign files).
 _ENTRY_MAGIC = "repro-diskcache"
@@ -171,22 +173,16 @@ class DiskCache:
         root/
           VERSION            # version stamp; mismatch wipes the store
           <stage>/<digest[:2]>/<digest>.pkl
-
-    ``stages`` restricts which pipeline stages are persisted (``None``, the
-    default, persists every stage).
     """
 
     root: Path
     version: str = field(default_factory=default_cache_version)
-    stages: frozenset[str] | None = None
     stats: DiskCacheStats = field(default_factory=DiskCacheStats)
     #: True once the store gave up on disk and serves memory-only misses.
     degraded: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
-        if self.stages is not None:
-            self.stages = frozenset(self.stages)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError:
@@ -199,10 +195,6 @@ class DiskCache:
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
-
-    def persists(self, stage: str) -> bool:
-        """Whether ``stage`` products go to (and come from) this store."""
-        return self.stages is None or stage in self.stages
 
     def get(self, digest_key: str, stage: str) -> tuple[bool, Any]:
         """``(True, value)`` on a trusted hit, ``(False, None)`` otherwise.

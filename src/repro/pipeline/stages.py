@@ -1,30 +1,28 @@
 """Stage registry and content-addressed caches for the diagram pipeline.
 
-The compiler decomposes ``SQL text → rendered diagram`` into explicit stages
+The compiler decomposes ``SQL text → rendered diagram`` into cached stages
 
-    lex → parse → logic → simplify → fingerprint → diagram → layout → render
+    front → diagram → layout → render
 
-each of which is individually cacheable: a stage's cache key is the content
-of its input (token text, frozen AST/Logic Tree, canonical fingerprint), so
-repeated or semantically equivalent inputs hit the cache no matter which
-query of a corpus produced them first.  The same idea drives the relational
-side's :class:`~repro.relational.batch.BatchExecutor`; this is its diagram
-counterpart.
+keyed on the two identities that dedupe anything.  ``front`` (lex → parse
+→ logic → simplify → fingerprint) is keyed on the input itself: stripped
+SQL text or frozen AST.  The back half is keyed on the canonical
+``(fingerprint, roles)`` pair, so semantically equivalent inputs (the
+Fig. 24 trio, whitespace variants, predicate reorderings) hit it no matter
+which query of a corpus produced it first.  The same idea drives the
+relational side's :class:`~repro.relational.batch.BatchExecutor`; this is
+its diagram counterpart.
 
 One extra pseudo-stage, ``artifact``, sits in front of the chain: it
-memoizes the whole compilation keyed on the verbatim input (stripped SQL
-text or frozen AST, plus the requested formats).  Verbatim repeats — the
-overwhelmingly common case in workload-scale corpora — then cost one
-dictionary lookup instead of eight cache probes over recursively hashed
-trees; the per-stage caches earn their keep on inputs that are *new text
-but equivalent structure* (whitespace variants, alias renamings, the
-Fig. 24 trio).
+memoizes the whole compilation keyed on the verbatim input plus the
+requested formats.  Verbatim repeats — the overwhelmingly common case in
+workload-scale corpora — then cost one dictionary lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable
 
 from ..counters import Counters
 from .diskcache import DiskCache, stable_key_digest
@@ -32,11 +30,7 @@ from .diskcache import DiskCache, stable_key_digest
 #: Stage names, in pipeline order (render appears once per output format).
 STAGE_NAMES: tuple[str, ...] = (
     "artifact",
-    "lex",
-    "parse",
-    "logic",
-    "simplify",
-    "fingerprint",
+    "front",
     "diagram",
     "layout",
     "render",
@@ -157,7 +151,6 @@ class StageCache:
         disk: "DiskCache | None" = None,
         disk_namespace: str = "",
     ) -> None:
-        self._stats = stats
         # Direct reference: get_or_compute runs several times per query and
         # should not pay a method call + attribute hop to find its counter.
         self._counters = stats.counters
@@ -167,14 +160,6 @@ class StageCache:
         self._caches: dict[str, dict[Hashable, Any]] = {
             name: {} for name in STAGE_NAMES
         }
-
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
-
-    @property
-    def disk(self) -> "DiskCache | None":
-        return self._disk
 
     def get_or_compute(
         self, stage: str, key: Hashable, compute: Callable[..., Any], *args: Any
@@ -193,7 +178,7 @@ class StageCache:
             counter.hits += 1
             return cache[key]
         disk = self._disk
-        if disk is not None and disk.persists(stage):
+        if disk is not None:
             digest = stable_key_digest(self._namespace, stage, key)
             found, value = disk.get(digest, stage)
             if found:
@@ -215,6 +200,6 @@ class StageCache:
         """Entries currently held per stage (content-addressed footprint)."""
         return {name: len(cache) for name, cache in self._caches.items() if cache}
 
-    def clear(self, stages: Iterable[str] | None = None) -> None:
-        for name in stages if stages is not None else STAGE_NAMES:
-            self._caches[name].clear()
+    def clear(self) -> None:
+        for cache in self._caches.values():
+            cache.clear()

@@ -128,7 +128,6 @@ def service_config_to_spec(config: ServiceConfig) -> dict:
         "lru_entries": config.lru_entries,
         "max_pending": config.max_pending,
         "request_timeout": config.request_timeout,
-        "stage_cache_bound": config.stage_cache_bound,
         "default_formats": list(config.default_formats),
     }
 

@@ -13,7 +13,7 @@ to it.  It layers three caches, probed in order:
    Fig. 24 trio…) awaits *that same task* instead of compiling again.
 3. **Compiler caches** — the pipeline's stage caches backed by the shared
    persistent :class:`~repro.pipeline.DiskCache`, exactly as in batch
-   runs.  Stage caches are bounded here (``stage_cache_bound``): a
+   runs.  Stage caches are bounded here (``STAGE_CACHE_BOUND``): a
    long-running server clears them when they outgrow the bound and
    warm-starts from disk.
 
@@ -60,6 +60,10 @@ from ..render.layout import LayoutConfig
 from ..sql.errors import SQLError
 from .lru import LRUCache
 
+#: Clear the compiler's in-memory stage caches beyond this many entries
+#: (summed across stages); the disk cache absorbs the cost.
+STAGE_CACHE_BOUND = 50_000
+
 
 class BadRequest(Exception):
     """The request is malformed (HTTP 400): bad JSON, bad SQL, bad format."""
@@ -84,9 +88,6 @@ class ServiceConfig:
     max_pending: int = 64
     #: Per-request wall-clock budget in seconds; exceeding it sheds 503.
     request_timeout: float = 10.0
-    #: Clear the compiler's in-memory stage caches beyond this many
-    #: entries (summed across stages); the disk cache absorbs the cost.
-    stage_cache_bound: int = 50_000
     #: Formats compiled when a /compile request names none.
     default_formats: tuple[str, ...] = ("text",)
 
@@ -461,7 +462,7 @@ class CompileService(RequestFrontEnd):
         # (worker thread death, cache IO errors surfacing as exceptions).
         fault_point("serve.compile")
         artifact = self._compiler.compile(sql, formats=formats)
-        if self._compiler.bound_caches(self.config.stage_cache_bound):
+        if self._compiler.bound_caches(STAGE_CACHE_BOUND):
             self.stats.stage_cache_clears += 1
         return artifact
 

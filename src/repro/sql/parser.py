@@ -54,6 +54,11 @@ _UNSUPPORTED_KEYWORDS = {
     "UNION": "UNION is not supported",
 }
 
+#: Deepest subquery nesting the parser accepts.  Every pipeline stage
+#: recurses once per level, so an unbounded depth would surface as a raw
+#: ``RecursionError`` (around depth 250) instead of a typed error.
+MAX_SUBQUERY_DEPTH = 100
+
 _KEYWORD = TokenType.KEYWORD
 _IDENTIFIER = TokenType.IDENTIFIER
 _NUMBER = TokenType.NUMBER
@@ -85,6 +90,7 @@ class Parser:
         self._values = stream.values
         self._positions = stream.positions
         self._index = 0
+        self._depth = 0
         if self._types:
             self._type = self._types[0]
             self._value = self._values[0]
@@ -421,7 +427,14 @@ class Parser:
 
     def _parse_parenthesized_query(self) -> SelectQuery:
         self._expect(_LPAREN)
+        self._depth += 1
+        if self._depth > MAX_SUBQUERY_DEPTH:
+            raise UnsupportedSQLError(
+                f"subqueries nested deeper than {MAX_SUBQUERY_DEPTH} levels "
+                f"are not supported (at position {self._positions[self._index - 1]})"
+            )
         query = self._parse_select_query()
+        self._depth -= 1
         self._expect(_RPAREN)
         return query
 

@@ -121,6 +121,19 @@ def sailors_only_red_query():
     return parse(SAILORS_ONLY_RED_SQL)
 
 
+@pytest.fixture
+def nested_exists_sql():
+    """``depth -> SQL``: a chain of ``depth`` nested EXISTS subqueries."""
+
+    def build(depth: int) -> str:
+        sql = f"SELECT T{depth}.a FROM T T{depth}"
+        for level in reversed(range(depth)):
+            sql = f"SELECT T{level}.a FROM T T{level} WHERE EXISTS ({sql})"
+        return sql
+
+    return build
+
+
 # --------------------------------------------------------------------- #
 # schemas and databases
 # --------------------------------------------------------------------- #

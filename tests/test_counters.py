@@ -95,15 +95,15 @@ def test_merge_adds_recurses_and_honours_a_field_fold():
 def test_pipeline_merge_keeps_keys_present_on_one_side_only():
     mine = PipelineStats(queries=2, disk={"hits": 1})
     del mine.counters["render"]
-    theirs = PipelineStats(queries=3, counters={"lex": StageCounter(1, 1, 1),
+    theirs = PipelineStats(queries=3, counters={"front": StageCounter(1, 1, 1),
                                                 "render": StageCounter(0, 2, 0)},
                            disk={"writes": 4})
     mine.merge(theirs)
     assert mine.queries == 5
-    assert mine.counters["lex"] == StageCounter(1, 1, 1)
+    assert mine.counters["front"] == StageCounter(1, 1, 1)
     assert mine.counters["render"] == StageCounter(0, 2, 0)
     assert mine.counters["render"] is not theirs.counters["render"]
-    assert mine.counters["parse"] == StageCounter()
+    assert mine.counters["diagram"] == StageCounter()
     assert mine.disk == {"hits": 1, "writes": 4}
 
 

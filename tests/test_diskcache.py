@@ -22,6 +22,7 @@ import pytest
 from repro.pipeline import (
     DiagramBatchCompiler,
     DiagramCompiler,
+    STAGE_NAMES,
     DiskCache,
     stable_key_digest,
 )
@@ -69,11 +70,6 @@ class TestDiskCacheStore:
             "n", "s", (("x", "y"),)
         )
         assert stable_key_digest("ab", "c", "k") != stable_key_digest("a", "bc", "k")
-
-    def test_stage_restriction(self, tmp_path):
-        cache = DiskCache(tmp_path, stages=frozenset({"artifact"}))
-        assert cache.persists("artifact")
-        assert not cache.persists("lex")
 
     def test_version_bump_wipes_the_store(self, tmp_path):
         cache = DiskCache(tmp_path, version="v1")
@@ -153,6 +149,15 @@ class TestCompilerWarmStart:
         assert stats.counter("artifact").disk_hits == 1
         assert warmed.fingerprint == artifact.fingerprint
         assert warmed.outputs == artifact.outputs
+
+    def test_first_sight_compile_writes_one_entry_per_stage_product(self, tmp_path):
+        compiler = DiagramCompiler(disk_cache=tmp_path)
+        compiler.compile(QUERY, formats=("svg", "text"))
+        # artifact + front + diagram + layout + one render per format
+        assert compiler.disk_cache.stats.writes == 6
+        sizes = compiler.disk_cache.sizes()
+        assert sum(sizes.values()) == 6
+        assert set(sizes) <= set(STAGE_NAMES)
 
     def test_warm_start_in_a_separate_process(self, tmp_path):
         first = DiagramCompiler(disk_cache=tmp_path)

@@ -17,7 +17,7 @@ from repro.pipeline import (
     fingerprint_sql,
 )
 from repro.render.layout import LayoutConfig
-from repro.sql import parse
+from repro.sql import SQLError, parse
 
 
 class TestCompiler:
@@ -38,6 +38,10 @@ class TestCompiler:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="unknown output format"):
             compile_sql(Q_SOME_SQL, formats=("png",))
+
+    def test_deep_nesting_is_an_sql_error(self, nested_exists_sql):
+        with pytest.raises(SQLError):
+            DiagramCompiler().compile(nested_exists_sql(300), formats=("text",))
 
     def test_accepts_parsed_ast(self):
         from_text = compile_sql(Q_SOME_SQL, formats=("svg",))
@@ -100,16 +104,40 @@ class TestStageCaches:
         stats = compiler.stats()
         assert stats.queries == 2
         assert stats.counter("artifact").hits == 1
-        assert stats.counter("lex").lookups == 1  # only the cold pass lexed
+        assert stats.counter("front").lookups == 1  # only the cold pass parsed
 
-    def test_whitespace_variant_hits_parse_cache(self):
+    def test_whitespace_variant_shares_fingerprint_and_back_half(self):
         compiler = DiagramCompiler()
-        compiler.compile("SELECT T.a FROM T WHERE T.a = 1", formats=())
-        compiler.compile("SELECT  T.a\nFROM T\nWHERE T.a = 1", formats=())
+        first = compiler.compile("SELECT T.a FROM T WHERE T.a = 1", formats=("svg",))
+        second = compiler.compile(
+            "SELECT  T.a\nFROM T\nWHERE T.a = 1", formats=("svg",)
+        )
+        assert second.fingerprint == first.fingerprint
+        assert second.output("svg") == first.output("svg")
         stats = compiler.stats()
         assert stats.counter("artifact").hits == 0
-        assert stats.counter("lex").misses == 2  # different byte content
-        assert stats.counter("parse").hits == 1  # same token stream
+        assert stats.counter("front").misses == 2  # different byte content
+        for stage in ("diagram", "layout", "render"):
+            assert stats.counter(stage).hits == 1, stage
+
+    def test_canonical_key_then_compile_runs_the_front_half_once(self):
+        compiler = DiagramCompiler()
+        key = compiler.canonical_key(Q_ONLY_SQL)
+        artifact = compiler.compile(Q_ONLY_SQL, formats=("text",))
+        assert (artifact.fingerprint, artifact.roles) == key
+        front = compiler.stats().counter("front")
+        assert (front.misses, front.hits) == (1, 1)
+
+    def test_bound_caches_clears_past_the_bound_then_warm_starts(self, tmp_path):
+        compiler = DiagramCompiler(disk_cache=tmp_path)
+        first = compiler.compile(Q_ONLY_SQL, formats=("text",))
+        entries = sum(compiler.cache_sizes().values())
+        assert compiler.bound_caches(entries) is False
+        assert compiler.bound_caches(entries - 1) is True
+        assert compiler.cache_sizes() == {}
+        second = compiler.compile(Q_ONLY_SQL, formats=("text",))
+        assert compiler.stats().counter("artifact").disk_hits == 1
+        assert second.outputs == first.outputs
 
     def test_equivalent_variant_hits_diagram_cache(self):
         compiler = DiagramCompiler()

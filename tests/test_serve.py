@@ -343,6 +343,18 @@ def test_http_endpoints_and_error_mapping():
         assert "pipeline" in stats
 
 
+def test_deeply_nested_query_is_a_bad_request_not_a_crash(nested_exists_sql):
+    with _ServerFixture() as fixture:
+        status, payload, _ = fixture.request(
+            "POST", "/compile", json.dumps({"sql": nested_exists_sql(300)})
+        )
+        assert status == 400, payload
+        assert "nested deeper than" in payload["error"]
+        stats = fixture.request("GET", "/stats")[1]
+        assert stats["internal_errors"] == 0
+        assert stats["bad_requests"] == 1
+
+
 # --------------------------------------------------------------------- #
 # fault handling: retries, supervision, poisoned coalescing
 # --------------------------------------------------------------------- #

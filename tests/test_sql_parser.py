@@ -18,6 +18,7 @@ from repro.sql import (
     UnsupportedSQLError,
     parse,
 )
+from repro.sql.parser import MAX_SUBQUERY_DEPTH
 
 
 class TestSelectAndFrom:
@@ -246,6 +247,13 @@ class TestUnsupportedConstructs:
     def test_syntax_error_empty(self):
         with pytest.raises(SQLSyntaxError):
             parse("")
+
+    def test_nesting_depth_is_capped(self, nested_exists_sql):
+        assert parse(nested_exists_sql(MAX_SUBQUERY_DEPTH)).nesting_depth() == (
+            MAX_SUBQUERY_DEPTH
+        )
+        with pytest.raises(UnsupportedSQLError, match="nested deeper than"):
+            parse(nested_exists_sql(MAX_SUBQUERY_DEPTH + 1))
 
 
 class TestPaperQueries:
